@@ -42,6 +42,7 @@ func runMicro(out io.Writer) []microBench {
 	}{
 		{"p2p/sendrecv", microSendRecv},
 		{"p2p/match-indexed", microMatchIndexed},
+		{"p2p/match-anysource-tag", microMatchAnySourceTag},
 		{"p2p/match-wildcard", microMatchWildcard},
 		{"pool/payload-roundtrip", microPoolRoundtrip},
 		{"cache/hit-lookup", microCacheHit},
@@ -126,6 +127,33 @@ func microMatchIndexed(b *testing.B) {
 		case 1:
 			for i := 0; i < b.N; i++ {
 				p.Recv(0, tags.BenchPing)
+				p.Send(0, tags.BenchPong, 8, nil, nil)
+			}
+		}
+	}); err != nil {
+		b.Fatal(err)
+	}
+}
+
+// microMatchAnySourceTag is the pattern negotiation's receive shape:
+// AnySource on one named tag around a 64-message backlog — O(1) with
+// the per-tag arrival index.
+func microMatchAnySourceTag(b *testing.B) {
+	b.ReportAllocs()
+	const backlog = 64
+	if _, err := mpirt.Run(microCfg(1, 2), func(p *mpirt.Proc) {
+		switch p.Rank() {
+		case 0:
+			for t := 0; t < backlog; t++ {
+				p.Send(1, tags.BenchParked+t, 8, nil, nil)
+			}
+			for i := 0; i < b.N; i++ {
+				p.Send(1, tags.BenchPing, 8, nil, nil)
+				p.Recv(1, tags.BenchPong)
+			}
+		case 1:
+			for i := 0; i < b.N; i++ {
+				p.Recv(mpirt.AnySource, tags.BenchPing)
 				p.Send(0, tags.BenchPong, 8, nil, nil)
 			}
 		}

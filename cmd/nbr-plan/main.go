@@ -2,10 +2,11 @@
 // synthetic heavy-traffic generator fires plan requests
 // Zipf-distributed over thousands of distinct neighborhoods at the
 // content-addressed plan cache (internal/plancache) and reports
-// plans/sec, hit rate, coalescing factor and p50/p99/p999 latency —
-// cached vs. the negotiate-every-request baseline — plus the
-// thundering-herd proof (N concurrent identical requests → 1 build)
-// and a Zipf-skew hit-rate table. The -json snapshot lands in
+// served plans/sec, shed rate (admission-control rejections per
+// request), hit rate, coalescing factor and p50/p99/p999 latency of
+// served requests — cached vs. the negotiate-every-request baseline —
+// plus the thundering-herd proof (N concurrent identical requests → 1
+// build) and a Zipf-skew hit-rate table. The -json snapshot lands in
 // results/BENCH_pr10.json.
 package main
 
@@ -44,6 +45,7 @@ type planCell struct {
 	Builds      int64   `json:"builds"`
 	Evictions   int64   `json:"evictions"`
 	Overloads   int64   `json:"overloads"`
+	ShedRate    float64 `json:"shed_rate"`
 	CacheBytes  int64   `json:"cache_bytes"`
 	CacheNumber int     `json:"cache_entries"`
 }
@@ -55,9 +57,10 @@ type coalesceCell struct {
 }
 
 type zipfCell struct {
-	S       float64 `json:"s"`
-	HitRate float64 `json:"hit_rate"`
-	PlansPS float64 `json:"plans_per_sec"`
+	S        float64 `json:"s"`
+	HitRate  float64 `json:"hit_rate"`
+	PlansPS  float64 `json:"plans_per_sec"`
+	ShedRate float64 `json:"shed_rate"`
 }
 
 type planDoc struct {
@@ -89,6 +92,7 @@ func cell(r harness.PlanLoadResult) planCell {
 		Builds:      r.Cache.Misses,
 		Evictions:   r.Cache.Evictions,
 		Overloads:   r.Overloads,
+		ShedRate:    r.ShedRate,
 		CacheBytes:  r.Cache.Bytes,
 		CacheNumber: r.Cache.Entries,
 	}
@@ -190,7 +194,7 @@ func run(args []string, out io.Writer) error {
 	// Zipf-skew hit-rate table.
 	if *zipfTable != "" {
 		tw := tabwriter.NewWriter(out, 2, 4, 2, ' ', 0)
-		fmt.Fprintln(tw, "zipf s\thit rate\tplans/s")
+		fmt.Fprintln(tw, "zipf s\thit rate\tplans/s\tshed")
 		for _, fld := range strings.Split(*zipfTable, ",") {
 			s, err := strconv.ParseFloat(strings.TrimSpace(fld), 64)
 			if err != nil {
@@ -204,8 +208,8 @@ func run(args []string, out io.Writer) error {
 			if err != nil {
 				return err
 			}
-			doc.ZipfTable = append(doc.ZipfTable, zipfCell{S: s, HitRate: r.HitRate, PlansPS: r.PlansPerSec})
-			fmt.Fprintf(tw, "%.2f\t%.1f%%\t%.0f\n", s, 100*r.HitRate, r.PlansPerSec)
+			doc.ZipfTable = append(doc.ZipfTable, zipfCell{S: s, HitRate: r.HitRate, PlansPS: r.PlansPerSec, ShedRate: r.ShedRate})
+			fmt.Fprintf(tw, "%.2f\t%.1f%%\t%.0f\t%.1f%%\n", s, 100*r.HitRate, r.PlansPerSec, 100*r.ShedRate)
 		}
 		tw.Flush()
 	}

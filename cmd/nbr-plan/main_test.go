@@ -30,7 +30,7 @@ func TestRunSmoke(t *testing.T) {
 	for _, want := range []string{
 		"cached", "baseline", "speedup", "coalesce",
 		"16 identical concurrent requests → 1 build(s), 15 coalesced",
-		"zipf s",
+		"zipf s", "shed",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("output missing %q:\n%s", want, out)
@@ -50,6 +50,9 @@ func TestRunSmoke(t *testing.T) {
 	}
 	if doc.Cached.Requests != 2000 || doc.Baseline.Requests != 200 {
 		t.Fatalf("request counts: cached %d baseline %d", doc.Cached.Requests, doc.Baseline.Requests)
+	}
+	if want := float64(doc.Cached.Overloads) / float64(doc.Cached.Requests); doc.Cached.ShedRate != want {
+		t.Fatalf("cached shed_rate = %g, want overloads/requests = %g", doc.Cached.ShedRate, want)
 	}
 	if doc.Speedup <= 0 {
 		t.Fatalf("speedup = %g", doc.Speedup)

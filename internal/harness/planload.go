@@ -67,6 +67,10 @@ type PlanLoadConfig struct {
 	// from scratch. This is the baseline the speedup criterion divides
 	// by.
 	NoCache bool
+
+	// wrapBuild, when non-nil, wraps every plan builder (a test seam
+	// for slowing builds down).
+	wrapBuild func(plancache.Builder) plancache.Builder
 }
 
 func (c PlanLoadConfig) withDefaults() PlanLoadConfig {
@@ -109,7 +113,8 @@ func (c PlanLoadConfig) withDefaults() PlanLoadConfig {
 // PlanLoadResult summarises one traffic run.
 type PlanLoadResult struct {
 	// Requests is the number of requests fired; Wall the host time the
-	// run took; PlansPerSec the throughput.
+	// run took; PlansPerSec the throughput of served requests (those
+	// that returned a plan).
 	Requests    int
 	Wall        time.Duration
 	PlansPerSec float64
@@ -117,20 +122,22 @@ type PlanLoadResult struct {
 	// and one respectively on NoCache runs).
 	HitRate          float64
 	CoalescingFactor float64
-	// P50, P99, P999 are request-latency percentiles.
+	// P50, P99, P999 are latency percentiles of the served requests.
 	P50, P99, P999 time.Duration
 	// Overloads counts admission-control rejections observed by the
-	// workers (the run tolerates them; they count as completed
-	// requests with their rejection latency).
+	// workers. The run tolerates them, but a rejected request is shed,
+	// not served: it counts in Requests only. ShedRate is Overloads
+	// divided by Requests.
 	Overloads int64
+	ShedRate  float64
 	// Cache is the final counter snapshot (zero value on NoCache
 	// runs).
 	Cache plancache.Stats
 }
 
 func (r PlanLoadResult) String() string {
-	return fmt.Sprintf("%d reqs in %v: %.0f plans/s, hit %.1f%%, coalesce %.2fx, p50 %v p99 %v p999 %v",
-		r.Requests, r.Wall.Round(time.Millisecond), r.PlansPerSec,
+	return fmt.Sprintf("%d reqs in %v: %.0f plans/s, shed %.1f%%, hit %.1f%%, coalesce %.2fx, p50 %v p99 %v p999 %v",
+		r.Requests, r.Wall.Round(time.Millisecond), r.PlansPerSec, 100*r.ShedRate,
 		100*r.HitRate, r.CoalescingFactor, r.P50, r.P99, r.P999)
 }
 
@@ -185,6 +192,9 @@ func MeasurePlanThroughput(cfg PlanLoadConfig) (PlanLoadResult, error) {
 					return collective.BuildPlan(algo, g, cluster, 0, nil)
 				},
 			}
+			if cfg.wrapBuild != nil {
+				w.build = cfg.wrapBuild(w.build)
+			}
 			loads = append(loads, w)
 			byKey[w.key] = &loads[len(loads)-1]
 		}
@@ -205,7 +215,8 @@ func MeasurePlanThroughput(cfg PlanLoadConfig) (PlanLoadResult, error) {
 
 	// Per-worker request streams: independent rngs (so the workload is
 	// reproducible regardless of interleaving) and preallocated latency
-	// buffers (so measurement itself does not allocate mid-run).
+	// buffers (so measurement itself does not allocate mid-run). Only
+	// served requests record a latency; rejected ones are counted.
 	per := cfg.Requests / cfg.Workers
 	extra := cfg.Requests % cfg.Workers
 	lats := make([][]int64, cfg.Workers)
@@ -233,13 +244,13 @@ func MeasurePlanThroughput(cfg PlanLoadConfig) (PlanLoadResult, error) {
 				} else {
 					_, err = cache.GetOrBuild(ld.key, ld.build)
 				}
-				lats[w] = append(lats[w], time.Since(t0).Nanoseconds())
-				if err != nil {
-					if errors.Is(err, plancache.ErrOverload) {
-						overloads[w]++
-					} else if errs[w] == nil {
-						errs[w] = err
-					}
+				switch {
+				case err == nil:
+					lats[w] = append(lats[w], time.Since(t0).Nanoseconds())
+				case errors.Is(err, plancache.ErrOverload):
+					overloads[w]++
+				case errs[w] == nil:
+					errs[w] = err
 				}
 			}
 		}(w, myReqs)
@@ -258,7 +269,7 @@ func MeasurePlanThroughput(cfg PlanLoadConfig) (PlanLoadResult, error) {
 	}
 	sort.Slice(merged, func(i, j int) bool { return merged[i] < merged[j] })
 	res := PlanLoadResult{
-		Requests:         len(merged),
+		Requests:         cfg.Requests,
 		Wall:             wall,
 		PlansPerSec:      float64(len(merged)) / wall.Seconds(),
 		CoalescingFactor: 1,
@@ -269,6 +280,7 @@ func MeasurePlanThroughput(cfg PlanLoadConfig) (PlanLoadResult, error) {
 	for _, o := range overloads {
 		res.Overloads += o
 	}
+	res.ShedRate = float64(res.Overloads) / float64(res.Requests)
 	if cache != nil {
 		res.Cache = cache.Stats()
 		res.HitRate = res.Cache.HitRate()

@@ -1,9 +1,12 @@
 package harness
 
 import (
+	"math"
 	"strings"
 	"testing"
+	"time"
 
+	"nbrallgather/internal/plancache"
 	"nbrallgather/internal/topology"
 )
 
@@ -74,6 +77,48 @@ func TestMeasurePlanThroughputVerifyOnInsert(t *testing.T) {
 	}
 	if res.Cache.Inserts == 0 {
 		t.Fatal("nothing was inserted (and so nothing verified)")
+	}
+}
+
+// TestMeasurePlanThroughputShedsOverloads forces admission-control
+// rejections (one planner, one queue slot, sixteen workers, and builds
+// that sleep so the other workers arrive while one runs) and checks
+// that rejected requests are shed: counted in Requests and ShedRate,
+// left out of the throughput and the latency percentiles.
+func TestMeasurePlanThroughputShedsOverloads(t *testing.T) {
+	cfg := smallPlanLoad()
+	cfg.Requests = 320
+	cfg.Workers = 16
+	cfg.Planners = 1
+	cfg.MaxQueue = 1
+	cfg.wrapBuild = func(build plancache.Builder) plancache.Builder {
+		return func() (any, int64, error) {
+			time.Sleep(2 * time.Millisecond)
+			return build()
+		}
+	}
+	res, err := MeasurePlanThroughput(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Overloads == 0 {
+		t.Fatal("no request was rejected: the overload was not forced")
+	}
+	if res.Overloads != res.Cache.Overloads {
+		t.Fatalf("workers saw %d overloads, cache counted %d", res.Overloads, res.Cache.Overloads)
+	}
+	if res.Requests != cfg.Requests {
+		t.Fatalf("Requests = %d, want %d fired", res.Requests, cfg.Requests)
+	}
+	if want := float64(res.Overloads) / float64(res.Requests); res.ShedRate != want {
+		t.Fatalf("ShedRate = %g, want %g", res.ShedRate, want)
+	}
+	served := float64(res.Requests) - float64(res.Overloads)
+	if got := res.PlansPerSec * res.Wall.Seconds(); math.Abs(got-served) > 1e-6*served {
+		t.Fatalf("PlansPerSec × Wall = %g, want the %g served requests", got, served)
+	}
+	if s := res.String(); !strings.Contains(s, "shed") {
+		t.Fatalf("String() = %q, want the shed rate", s)
 	}
 }
 

@@ -1,8 +1,8 @@
 // Micro-benchmarks of the runtime hot paths the simulator spends its
-// wall clock in: point-to-point matching (indexed and wildcard), the
-// payload buffer pool, the barrier, and one end-to-end allgather-like
-// step. Run with -benchmem; the P2P paths are expected to stay at
-// 0 allocs/op (see DESIGN.md §9).
+// wall clock in: point-to-point matching (indexed, per-tag AnySource
+// and full wildcard), the payload buffer pool, the barrier, and one
+// end-to-end allgather-like step. Run with -benchmem; the P2P paths
+// are expected to stay at 0 allocs/op (see DESIGN.md §9).
 package mpirt
 
 import (
@@ -84,6 +84,35 @@ func BenchmarkMatchWildcard(b *testing.B) {
 				p.Recv(1, 1)
 			case 1:
 				p.Recv(AnySource, AnyTag)
+				p.Send(0, 1, 8, nil, nil)
+			}
+		}
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+}
+
+// BenchmarkMatchAnySourceTag is the receive shape of the distributed
+// pattern negotiation: AnySource receives on one named tag while the
+// mailbox holds a backlog on many other (src, tag) keys. The per-tag
+// arrival index answers each receive in O(1) whatever the backlog.
+func BenchmarkMatchAnySourceTag(b *testing.B) {
+	b.ReportAllocs()
+	const backlog = 256
+	_, err := Run(benchCfg(1, 2), func(p *Proc) {
+		switch p.Rank() {
+		case 0:
+			for t := 0; t < backlog; t++ {
+				p.Send(1, 1000+t, 8, nil, nil)
+			}
+			for i := 0; i < b.N; i++ {
+				p.Send(1, 0, 8, nil, nil)
+				p.Recv(1, 1)
+			}
+		case 1:
+			for i := 0; i < b.N; i++ {
+				p.Recv(AnySource, 0)
 				p.Send(0, 1, 8, nil, nil)
 			}
 		}

@@ -67,8 +67,8 @@ type Msg struct {
 	// pooled, when non-nil, is the size-classed pool buffer backing
 	// Data; Release returns it (see pool.go for the ownership rules).
 	pooled *pbuf
-	// seq is the mailbox enqueue stamp: wildcard receives take the
-	// minimum across match lists, reproducing single-queue FIFO order.
+	// seq is the mailbox enqueue stamp: a receive takes the matching
+	// message with the smallest, reproducing single-queue FIFO order.
 	seq uint64
 }
 
@@ -220,6 +220,8 @@ type matchKey struct{ src, tag int }
 type msgFIFO struct {
 	q    []*Msg
 	head int
+	// idx is the index of the list's tag.
+	idx *tagIndex
 }
 
 func (f *msgFIFO) empty() bool { return f.head == len(f.q) }
@@ -236,18 +238,119 @@ func (f *msgFIFO) pop() *Msg {
 	return m
 }
 
+// arrival is one tag-index entry: the match list a message was
+// appended to and the message's enqueue stamp.
+type arrival struct {
+	f   *msgFIFO
+	seq uint64
+}
+
+// queued reports whether the entry's message is still in its list. A
+// list loses messages only at its head and its stamps ascend, so the
+// message is there exactly when the list's head stamp is not past it.
+func (a arrival) queued() bool { return !a.f.empty() && a.f.peek().seq <= a.seq }
+
+// tagIndex is one tag's view of a mailbox: the tag's match lists and,
+// once the tag has seen an AnySource receive, its arrival index q,
+// with an entry per message enqueued with the tag in enqueue order.
+// Receives pop the match lists, not the index, so entries go stale; a
+// stale head is dropped by the next front, and stale entries behind it
+// by the compaction in push.
+type tagIndex struct {
+	lists []*msgFIFO
+	keep  bool // q is kept: the tag has seen an AnySource receive
+	q     []arrival
+	head  int
+}
+
+// push appends a. A full queue is first compacted to its queued
+// entries and grows only if they still fill more than half of it, so
+// its capacity stays within a small factor of the tag's peak backlog
+// and a push costs amortised O(1).
+func (x *tagIndex) push(a arrival) {
+	if n := len(x.q); n > 0 && n == cap(x.q) {
+		live := 0
+		for _, e := range x.q[x.head:] {
+			if e.queued() {
+				x.q[live] = e
+				live++
+			}
+		}
+		clear(x.q[live:])
+		x.q, x.head = x.q[:live], 0
+		if 2*live > n {
+			grown := make([]arrival, live, 2*n) //lint:allocok — amortised index growth; capacity is reused across matches
+			copy(grown, x.q)
+			x.q = grown
+		}
+	}
+	x.q = append(x.q, a) //lint:allocok — amortised index growth; capacity is reused across matches
+}
+
+// front drops stale head entries and returns the list holding the
+// tag's earliest-enqueued queued message at its head, or nil when none
+// is queued.
+func (x *tagIndex) front() *msgFIFO {
+	for x.head < len(x.q) {
+		if a := x.q[x.head]; a.queued() {
+			return a.f
+		}
+		x.q[x.head] = arrival{}
+		x.head++
+	}
+	x.q, x.head = x.q[:0], 0
+	return nil
+}
+
+// sortBySeq orders q by enqueue stamp with an in-place heapsort, which
+// keeps index seeding allocation-free.
+func sortBySeq(q []arrival) {
+	for i := len(q)/2 - 1; i >= 0; i-- {
+		siftBySeq(q, i, len(q))
+	}
+	for end := len(q) - 1; end > 0; end-- {
+		q[0], q[end] = q[end], q[0]
+		siftBySeq(q, 0, end)
+	}
+}
+
+func siftBySeq(q []arrival, root, n int) {
+	for {
+		c := 2*root + 1
+		if c >= n {
+			return
+		}
+		if c+1 < n && q[c+1].seq > q[c].seq {
+			c++
+		}
+		if q[root].seq >= q[c].seq {
+			return
+		}
+		q[root], q[c] = q[c], q[root]
+		root = c
+	}
+}
+
 // mailbox holds one rank's pending messages, indexed by (src, tag) so
 // a specific receive matches in O(1) instead of rescanning a single
-// linear queue on every wakeup. Wildcard (AnySource/AnyTag) receives
-// fall back to scanning the match lists and taking the earliest
-// enqueue stamp, which reproduces the old single-queue FIFO selection
-// exactly — independent of map iteration order. Empty lists stay in
-// the map (the key population is bounded by the tag registry), so a
-// busy key reaches a steady state with no map churn at all.
+// linear queue on every wakeup. Every receive takes the matching
+// message with the earliest enqueue stamp, which reproduces the old
+// single-queue FIFO selection exactly, independent of map iteration
+// order.
+//
+// An AnySource receive on a named tag reads that tag's arrival index,
+// also in amortised O(1). The index is kept from the mailbox's first
+// AnySource receive on the tag onwards, seeded from the tag's lists in
+// stamp order, so a tag that is only ever received exactly has an
+// empty index. AnyTag receives scan the match lists: the one linear
+// path left, and one no collective or planner uses. Empty lists stay
+// in the map (the key population is bounded by the tag registry), so
+// a busy key reaches a steady state with no map churn at all.
 type mailbox struct {
 	mu    sync.Mutex
 	cond  *sync.Cond
 	lists map[matchKey]*msgFIFO
+	tags  map[int]*tagIndex
 	count int    // queued messages across all lists
 	enq   uint64 // enqueue stamp source for Msg.seq
 	// waiter marks a rank parked in recvErr; wSrc and wTag are the
@@ -260,7 +363,8 @@ type mailbox struct {
 	wVT        float64
 }
 
-// enqueueLocked stamps m and appends it to its match list.
+// enqueueLocked stamps m and appends it to its match list and, when
+// its tag keeps an arrival index, to that index.
 func (b *mailbox) enqueueLocked(m *Msg) {
 	b.enq++
 	m.seq = b.enq
@@ -270,60 +374,92 @@ func (b *mailbox) enqueueLocked(m *Msg) {
 		if b.lists == nil {
 			b.lists = make(map[matchKey]*msgFIFO) //lint:allocok — lazy per-mailbox init, once per destination
 		}
-		f = &msgFIFO{} //lint:allocok — once per live (src, tag) match key
+		f = &msgFIFO{idx: b.tagLocked(m.Tag)} //lint:allocok — once per live (src, tag) match key
+		f.idx.lists = append(f.idx.lists, f)  //lint:allocok — once per live (src, tag) match key
 		b.lists[k] = f
 	}
 	f.q = append(f.q, m) //lint:allocok — amortized FIFO growth; capacity is reused across matches
+	if f.idx.keep {
+		f.idx.push(arrival{f, m.seq})
+	}
 	b.count++
 }
 
-// takeLocked removes and returns the earliest-enqueued message
-// matching (src, tag), or nil when none is queued.
-func (b *mailbox) takeLocked(src, tag int) *Msg {
+// tagLocked returns tag's index, making an empty one on first use.
+func (b *mailbox) tagLocked(tag int) *tagIndex {
+	if x := b.tags[tag]; x != nil {
+		return x
+	}
+	if b.tags == nil {
+		b.tags = make(map[int]*tagIndex) //lint:allocok — lazy per-mailbox init, once per destination
+	}
+	x := &tagIndex{} //lint:allocok — once per tag
+	b.tags[tag] = x
+	return x
+}
+
+// arrivalsLocked returns tag's index with its arrival queue kept,
+// seeding the queue with the tag's queued messages in stamp order on
+// the first call.
+func (b *mailbox) arrivalsLocked(tag int) *tagIndex {
+	x := b.tagLocked(tag)
+	if !x.keep {
+		x.keep = true
+		for _, f := range x.lists {
+			for _, m := range f.q[f.head:] {
+				x.q = append(x.q, arrival{f, m.seq}) //lint:allocok — amortised index growth; capacity is reused across matches
+			}
+		}
+		sortBySeq(x.q)
+	}
+	return x
+}
+
+// matchLocked returns the match list whose head is the
+// earliest-enqueued message matching (src, tag), or nil when none is
+// queued.
+func (b *mailbox) matchLocked(src, tag int) *msgFIFO {
 	if b.count == 0 {
 		return nil
 	}
-	if src != AnySource && tag != AnyTag {
-		f := b.lists[matchKey{src, tag}]
-		if f == nil || f.empty() {
-			return nil
+	switch {
+	case tag == AnyTag:
+		var best *msgFIFO
+		for k, f := range b.lists {
+			if f.empty() || (src != AnySource && k.src != src) {
+				continue
+			}
+			if best == nil || f.peek().seq < best.peek().seq {
+				best = f
+			}
 		}
-		b.count--
-		return f.pop()
+		return best
+	case src == AnySource:
+		return b.arrivalsLocked(tag).front()
+	default:
+		if f := b.lists[matchKey{src, tag}]; f != nil && !f.empty() {
+			return f
+		}
+		return nil
 	}
-	var best *msgFIFO
-	for k, f := range b.lists {
-		if f.empty() || (src != AnySource && k.src != src) || (tag != AnyTag && k.tag != tag) {
-			continue
-		}
-		if best == nil || f.peek().seq < best.peek().seq {
-			best = f
-		}
-	}
-	if best == nil {
+}
+
+// takeLocked removes and returns the earliest-enqueued message
+// matching (src, tag), or nil when none is queued. An AnySource take
+// leaves its index entry behind; it is stale from here on.
+func (b *mailbox) takeLocked(src, tag int) *Msg {
+	f := b.matchLocked(src, tag)
+	if f == nil {
 		return nil
 	}
 	b.count--
-	return best.pop()
+	return f.pop()
 }
 
 // matchesLocked reports whether a message matching (src, tag) is
 // queued, without removing it.
 func (b *mailbox) matchesLocked(src, tag int) bool {
-	if b.count == 0 {
-		return false
-	}
-	if src != AnySource && tag != AnyTag {
-		f := b.lists[matchKey{src, tag}]
-		return f != nil && !f.empty()
-	}
-	for k, f := range b.lists {
-		if f.empty() || (src != AnySource && k.src != src) || (tag != AnyTag && k.tag != tag) {
-			continue
-		}
-		return true
-	}
-	return false
+	return b.matchLocked(src, tag) != nil
 }
 
 // Runtime is the shared state of one execution.

@@ -5,8 +5,10 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // TestMapOrder pins the determinism contract: results come back in
@@ -128,13 +130,23 @@ func TestWorkersBound(t *testing.T) {
 
 // TestMapConcurrent verifies items genuinely overlap when more than
 // one worker is available (skipped on a single-CPU runner, where the
-// pool legitimately degrades to serial execution).
+// pool legitimately degrades to serial execution). Each item waits
+// until both have arrived, which only overlapping items can do; a
+// deadline turns a serial pool into a failure instead of a hang.
 func TestMapConcurrent(t *testing.T) {
 	if runtime.GOMAXPROCS(0) < 2 {
 		t.Skip("single CPU: pool runs serially")
 	}
 	var inflight, peak atomic.Int64
-	barrier := make(chan struct{})
+	var arrived sync.WaitGroup
+	arrived.Add(2)
+	met := make(chan struct{})
+	go func() {
+		arrived.Wait()
+		close(met)
+	}()
+	deadline := time.After(10 * time.Second)
+	var timedOut atomic.Bool
 	Map(context.Background(), 2, func(i int) (int, error) {
 		cur := inflight.Add(1)
 		for {
@@ -144,11 +156,18 @@ func TestMapConcurrent(t *testing.T) {
 			}
 		}
 		// Rendezvous: both items must be in flight at once.
-		barrier <- struct{}{}
-		<-barrier
+		arrived.Done()
+		select {
+		case <-met:
+		case <-deadline:
+			timedOut.Store(true)
+		}
 		inflight.Add(-1)
 		return i, nil
 	})
+	if timedOut.Load() {
+		t.Error("items did not overlap within 10s: the pool ran them serially")
+	}
 	if peak.Load() < 2 {
 		t.Errorf("peak concurrency %d, want >= 2", peak.Load())
 	}
